@@ -19,19 +19,21 @@ build:
 # on every run. The scenario registry sweep rides along so `make test`
 # always exercises the adversarial scenarios end to end, and `lint` runs
 # the repository's own determinism/wire-contract analyzers (cmd/asymvet)
-# alongside stock go vet.
+# alongside stock go vet. perfbench is a module of its own (it builds
+# against this one through a replace directive), so `./...` does not
+# reach it: it is vetted and tested separately, so that an API change
+# here cannot break the benchmark unnoticed.
 test: scenarios lint
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Repository-specific static analysis: the internal/lint analyzers
 # (asymdeterminism, asymwire, asymsizer, asymbound, asymshare, asymgc —
 # see internal/lint's package comment for the contracts) over the whole
-# tree, plus stock go vet. The content-hash cache makes repeat runs skip
-# unchanged packages; delete .asymvet-cache.json (untracked) to force a
-# cold run.
+# tree, plus stock go vet.
 lint:
 	$(GO) vet ./...
-	$(GO) run ./cmd/asymvet -cache .asymvet-cache.json ./...
+	$(GO) run ./cmd/asymvet ./...
 
 # Coverage-guided fuzzing of the byte-level attack surface: the wire
 # bounded-decode primitives, the tagged top-level decoder, and the

@@ -10,7 +10,6 @@
 package asymdag_test
 
 import (
-	"runtime"
 	"testing"
 
 	asymdag "repro"
@@ -308,20 +307,17 @@ func BenchmarkSweepABBA(b *testing.B) {
 	}
 }
 
-// Large-n single-run scaling: the sharded event queue plus parallel
-// same-time delivery. One n=100 execution is far too slow to run to
-// quiescence inside a benchmark iteration (several million deliveries),
-// so each op delivers a fixed 300k-event budget of the run — a
-// well-defined unit of work that makes serial and parallel directly
-// comparable. The Serial/Parallel pair is the scaling claim: on a
-// multi-core host parallel delivery must beat serial (on a single-core
-// host it only pays the buffering overhead); `make benchcmp` guards the
-// serial numbers so the lane-queue refactor cannot silently regress the
-// default path.
+// Large-n single-run scaling of the sharded event queue. One n=100
+// execution is far too slow to run to quiescence inside a benchmark
+// iteration (several million deliveries), so each op delivers a fixed
+// 300k-event budget of the run — a well-defined unit of work. `make
+// benchcmp` guards these numbers so the scheduler cannot silently
+// regress; the Serial suffix keeps the names comparable with older
+// BENCH_*.json recordings.
 
 const largeNEvents = 300_000
 
-func benchLargeNRider(b *testing.B, workers int) {
+func BenchmarkLargeNRiderSerial(b *testing.B) {
 	trust := quorum.NewThreshold(100, 33)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -330,7 +326,7 @@ func benchLargeNRider(b *testing.B, workers int) {
 			Kind: harness.Asymmetric, Trust: trust, NumWaves: 2, TxPerBlock: 1,
 			Seed: int64(i), CoinSeed: int64(i)*13 + 1,
 			Latency:   sim.UniformLatency{Min: 1, Max: 5},
-			MaxEvents: largeNEvents, DeliveryWorkers: workers,
+			MaxEvents: largeNEvents,
 		})
 		if len(res.Nodes) != 100 {
 			b.Fatal("large-n rider lost nodes")
@@ -342,12 +338,7 @@ func benchLargeNRider(b *testing.B, workers int) {
 	b.ReportMetric(float64(largeNEvents)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-func BenchmarkLargeNRiderSerial(b *testing.B) { benchLargeNRider(b, -1) }
-func BenchmarkLargeNRiderParallel(b *testing.B) {
-	benchLargeNRider(b, runtime.GOMAXPROCS(0))
-}
-
-func benchLargeNACS(b *testing.B, workers int) {
+func BenchmarkLargeNACSSerial(b *testing.B) {
 	trust := quorum.NewThreshold(100, 33)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -356,18 +347,13 @@ func benchLargeNACS(b *testing.B, workers int) {
 			Trust: trust, Mode: gather.UsePlain,
 			Latency: sim.UniformLatency{Min: 1, Max: 5},
 			Seed:    int64(i), CoinSeed: int64(i) + 7,
-			MaxEvents: largeNEvents, DeliveryWorkers: workers,
+			MaxEvents: largeNEvents,
 		})
 		if res.Metrics.MessagesDelivered < largeNEvents {
 			b.Fatalf("ACS delivered %d events, want >= %d", res.Metrics.MessagesDelivered, largeNEvents)
 		}
 	}
 	b.ReportMetric(float64(largeNEvents)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-func BenchmarkLargeNACSSerial(b *testing.B) { benchLargeNACS(b, 0) }
-func BenchmarkLargeNACSParallel(b *testing.B) {
-	benchLargeNACS(b, runtime.GOMAXPROCS(0))
 }
 
 // Micro-benchmarks of the substrate hot paths. ---------------------------

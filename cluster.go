@@ -29,9 +29,6 @@ type ClusterConfig struct {
 	// runaway schedule rather than truncating real work. ClusterResult
 	// reports a hit via HitLimit.
 	MaxSteps int
-	// DeliveryWorkers opts the run into the simulator's parallel
-	// same-time delivery (0 = serial; see sim.Config.DeliveryWorkers).
-	DeliveryWorkers int
 }
 
 // DefaultMaxSteps is the event budget Run applies when ClusterConfig
@@ -91,10 +88,7 @@ func (c *Cluster) Run() ClusterResult {
 		nodes[i] = nd
 	}
 	limit := sim.ResolveEventBudget(c.cfg.MaxSteps)
-	r := sim.NewRunner(sim.Config{
-		N: n, Seed: c.cfg.Seed, Latency: c.cfg.Latency,
-		DeliveryWorkers: c.cfg.DeliveryWorkers,
-	}, nodes)
+	r := sim.NewRunner(sim.Config{N: n, Seed: c.cfg.Seed, Latency: c.cfg.Latency}, nodes)
 	r.Run(limit)
 
 	res := ClusterResult{

@@ -26,11 +26,9 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	run := flag.String("run", "all", "experiment ID to run, or 'all'")
 	workers := flag.Int("workers", 0, "cap sweep parallelism (0 = all cores)")
-	deliveryWorkers := flag.Int("delivery-workers", 0, "parallel same-time delivery workers inside each run (0 = serial)")
 	flag.Parse()
 
 	harness.DefaultSweepWorkers = *workers
-	harness.DefaultDeliveryWorkers = *deliveryWorkers
 
 	if *list {
 		for _, e := range harness.AllWithExtensions() {

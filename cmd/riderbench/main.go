@@ -33,7 +33,6 @@ func main() {
 	seeds := flag.Int("seeds", 3, "seeds per configuration")
 	tx := flag.Int("tx", 4, "transactions per block")
 	workers := flag.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
-	deliveryWorkers := flag.Int("delivery-workers", 0, "parallel same-time delivery workers inside each run (0 = serial)")
 	flag.Parse()
 
 	var trust quorum.Assumption
@@ -75,7 +74,6 @@ func main() {
 		r := harness.RunRider(harness.RiderConfig{
 			Kind: kind, Trust: trust, NumWaves: *waves, TxPerBlock: *tx,
 			Seed: seed, CoinSeed: seed * 101,
-			DeliveryWorkers: *deliveryWorkers,
 		})
 		commits, med := summarize(r)
 		return record{

@@ -52,23 +52,16 @@
 //     randomized protocol-property conformance suites (hundreds of random
 //     trust systems per `go test ./...`), the multi-seed experiments, and
 //     the cmd/riderbench and cmd/quorumtool search paths.
-//   - A sharded deterministic event queue with parallel same-time
-//     delivery (internal/sim): the scheduler keeps one (time, seq)-ordered
-//     heap per receiver process, merged through a tournament tree over the
-//     lane heads, so push/pop scales with a receiver's own backlog instead
-//     of the total pending-event count and the merge front exposes which
-//     receivers share the frontier timestamp. DeliveryWorkers > 0 (a knob
-//     on sim.Config, harness.RiderConfig/ABBAConfig, acs.RunConfig and
-//     ClusterConfig) executes those same-time, distinct-receiver handlers
-//     concurrently on a bounded pool: every effect is buffered per
-//     receiver and committed single-threaded in receiver-ID order, with
-//     latency draws and sequence numbers assigned only at commit from the
-//     run's one seeded RNG — so the parallel execution is a pure function
-//     of the seed, byte-identical across 1/2/GOMAXPROCS workers (nodes
-//     that call Env.Rand in Receive fall back to serial delivery). Serial
-//     mode stays the default and is event-for-event identical to the
-//     previous single 4-ary heap, pinned by a differential suite.
-//     Cluster runs are also bounded by a generous MaxSteps event budget
+//   - A sharded deterministic event queue (internal/sim): the one
+//     scheduler delivers events serially in (time, seq) order from one
+//     heap per receiver process, merged through a tournament tree over
+//     the lane heads, so push/pop scales with a receiver's own backlog
+//     instead of the total pending-event count. The pop order is
+//     event-for-event identical to the previous single 4-ary heap,
+//     pinned by a differential suite. Same-time events are delivered one
+//     at a time: the paper's adversary picks the delivery order, so any
+//     serial linearisation is a valid asynchronous execution. Cluster
+//     runs are also bounded by a generous MaxSteps event budget
 //     (ClusterResult.HitLimit / RiderResult.HitLimit report truncation),
 //     so a non-quiescing adversarial schedule can no longer hang a sweep.
 //   - A declarative adversarial scenario engine (internal/scenario + the
@@ -80,13 +73,12 @@
 //     properties — total order, agreement, integrity, validity, liveness —
 //     each run must keep for the maximal guild of the scenario's faulty
 //     set. Rules compile into a sim.FaultPlane evaluated at the
-//     simulator's single-threaded send- and deliver-commit points with the
-//     run's seeded RNG, so every scenario execution is a pure function of
-//     the seed — byte-identical across DeliveryWorkers counts. A registry
-//     of built-in scenarios (BuiltinScenarios) backs the scenario × seed
-//     conformance sweeps (SweepScenarios, with first-failing (scenario,
-//     seed) attribution), the `scenarios` experiment, and
-//     examples/faulttolerance.
+//     simulator's send- and deliver-commit points with the run's seeded
+//     RNG, so every scenario execution is a pure function of the seed. A
+//     registry of built-in scenarios (BuiltinScenarios) backs the
+//     scenario × seed conformance sweeps (SweepScenarios, with
+//     first-failing (scenario, seed) attribution), the `scenarios`
+//     experiment, and examples/faulttolerance.
 //   - A shared framed binary wire codec (internal/wire) and a production
 //     TCP transport (internal/transport): every protocol message type
 //     registers a tagged exact-size codec built on uvarints, length-

@@ -259,9 +259,6 @@ type RunConfig struct {
 	Faulty map[types.ProcessID]sim.Node
 	// Fault is an optional scenario fault plane (see sim.FaultPlane).
 	Fault sim.FaultPlane
-	// DeliveryWorkers opts the run into the simulator's parallel
-	// same-time delivery (0 = serial; see sim.Config.DeliveryWorkers).
-	DeliveryWorkers int
 	// MaxEvents bounds the simulation (0 = the generous
 	// sim.DefaultEventBudget, < 0 = unbounded) — the convention shared
 	// with harness.RiderConfig and asymdag.ClusterConfig. RunResult
@@ -306,7 +303,6 @@ func Run(cfg RunConfig) RunResult {
 	limit := sim.ResolveEventBudget(cfg.MaxEvents)
 	r := sim.NewRunner(sim.Config{
 		N: n, Seed: cfg.Seed, Latency: cfg.Latency, Fault: cfg.Fault,
-		DeliveryWorkers: cfg.DeliveryWorkers,
 	}, nodes)
 	r.Run(limit)
 	res := RunResult{
@@ -328,7 +324,7 @@ func Run(cfg RunConfig) RunResult {
 
 // RunCluster executes one ACS instance and returns only the outputs — the
 // original convenience signature, retained for callers that don't need
-// metrics or the parallel-delivery knob.
+// metrics, a fault plane or an event budget.
 func RunCluster(trust quorum.Assumption, mode gather.Dissemination, latency sim.LatencyModel, seed, coinSeed int64, faulty map[types.ProcessID]sim.Node) map[types.ProcessID]Pairs {
 	return Run(RunConfig{
 		Trust: trust, Mode: mode, Latency: latency,

@@ -234,32 +234,29 @@ func TestWrapEnvBroadcastFastPath(t *testing.T) {
 	}
 }
 
-// TestACSParallelDeliveryDeterministic pins ACS under the simulator's
-// parallel same-time delivery: outputs and the full Metrics (incl. the
-// per-instance ByType buckets) are byte-identical across worker counts,
-// and the agreement property holds.
-func TestACSParallelDeliveryDeterministic(t *testing.T) {
+// TestACSSameSeedDeterministic pins the simulator's reproducibility
+// contract for ACS: two runs with the same seeds give identical outputs
+// and the full Metrics (incl. the per-instance ByType buckets), and the
+// agreement property holds.
+func TestACSSameSeedDeterministic(t *testing.T) {
 	trust := quorum.NewThreshold(4, 1)
-	mk := func(workers int) RunResult {
+	run := func() RunResult {
 		return Run(RunConfig{
 			Trust: trust, Mode: gather.UseReliable,
 			Latency: sim.UniformLatency{Min: 1, Max: 15},
-			Seed:    5, CoinSeed: 6, DeliveryWorkers: workers,
+			Seed:    5, CoinSeed: 6,
 		})
 	}
-	ref := mk(1)
+	ref, res := run(), run()
 	assertIdenticalOutputs(t, ref.Outputs, 4)
-	for _, w := range []int{2, 4} {
-		res := mk(w)
-		if !reflect.DeepEqual(res.Metrics, ref.Metrics) {
-			t.Fatalf("workers=%d: metrics diverged:\n got %+v\nwant %+v", w, res.Metrics, ref.Metrics)
-		}
-		if res.EndTime != ref.EndTime {
-			t.Fatalf("workers=%d: end time %d, want %d", w, res.EndTime, ref.EndTime)
-		}
-		if !reflect.DeepEqual(res.Outputs, ref.Outputs) {
-			t.Fatalf("workers=%d: outputs diverged", w)
-		}
+	if !reflect.DeepEqual(res.Metrics, ref.Metrics) {
+		t.Fatalf("metrics diverged:\n got %+v\nwant %+v", res.Metrics, ref.Metrics)
+	}
+	if res.EndTime != ref.EndTime {
+		t.Fatalf("end time %d, want %d", res.EndTime, ref.EndTime)
+	}
+	if !reflect.DeepEqual(res.Outputs, ref.Outputs) {
+		t.Fatal("outputs diverged")
 	}
 }
 

@@ -20,7 +20,6 @@ package broadcast
 
 import (
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 
 	"repro/internal/quorum"
@@ -432,14 +431,4 @@ func (p *Plain) SlotCount() int { return len(p.delivered) }
 // Byzantine behaviours use it.
 func EquivocateSend(env sim.Env, to types.ProcessID, slot Slot, payload Payload) {
 	env.Send(to, sendMsg{Slot: slot, Payload: payload})
-}
-
-// RegisterWire registers this package's message types with encoding/gob so
-// they can travel over a real transport (internal/transport). Safe to call
-// multiple times.
-func RegisterWire() {
-	gob.Register(sendMsg{})
-	gob.Register(echoMsg{})
-	gob.Register(readyMsg{})
-	gob.Register(Bytes(nil))
 }

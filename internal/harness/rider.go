@@ -67,10 +67,6 @@ type RiderConfig struct {
 	// hanging a sweep forever; RiderResult.HitLimit reports a truncated
 	// run.
 	MaxEvents int
-	// DeliveryWorkers opts the run into the simulator's parallel
-	// same-time delivery (0 = the package-level DefaultDeliveryWorkers,
-	// < 0 = force serial; see sim.Config.DeliveryWorkers).
-	DeliveryWorkers int
 	// RevealedCoin enables the share-gated coin in the asymmetric
 	// protocol (ignored by the symmetric baseline).
 	RevealedCoin bool
@@ -92,24 +88,6 @@ type NodeResult struct {
 // the config leaves MaxEvents at 0 — the simulator-wide default shared by
 // every protocol runner.
 const DefaultMaxEvents = sim.DefaultEventBudget
-
-// DefaultDeliveryWorkers, when > 0, opts every execution whose config
-// leaves DeliveryWorkers at 0 into the simulator's parallel same-time
-// delivery with that many workers. The cmd binaries set it once from
-// their -delivery-workers flag; configs force serial with a negative
-// DeliveryWorkers.
-var DefaultDeliveryWorkers int
-
-// resolveDeliveryWorkers applies the DefaultDeliveryWorkers fallback.
-func resolveDeliveryWorkers(configured int) int {
-	if configured == 0 {
-		return DefaultDeliveryWorkers
-	}
-	if configured < 0 {
-		return 0
-	}
-	return configured
-}
 
 // RiderResult is the outcome of one cluster execution.
 type RiderResult struct {
@@ -171,7 +149,6 @@ func RunRider(cfg RiderConfig) RiderResult {
 	limit := sim.ResolveEventBudget(cfg.MaxEvents)
 	r := sim.NewRunner(sim.Config{
 		N: n, Seed: cfg.Seed, Latency: cfg.Latency, Fault: cfg.Fault,
-		DeliveryWorkers: resolveDeliveryWorkers(cfg.DeliveryWorkers),
 	}, nodes)
 	r.Run(limit)
 

@@ -35,13 +35,6 @@ type ScenarioSweepConfig struct {
 	Latency sim.LatencyModel
 	// MaxEvents bounds each run (0 = sim.DefaultEventBudget).
 	MaxEvents int
-	// DeliveryWorkers sets the delivery pool width. Scenario runs ALWAYS
-	// use the simulator's batch-commit scheduler: values <= 0 resolve to 1
-	// worker, so every configured count — 0, 1, 2 or GOMAXPROCS — yields
-	// the byte-identical execution the parallel determinism contract
-	// guarantees for >= 1 workers. (Serial mode would diverge: its commit
-	// order re-sequences the RNG draws within a timestamp batch.)
-	DeliveryWorkers int
 	// Workers bounds the sweep's worker pool (0 = GOMAXPROCS).
 	Workers int
 }
@@ -64,14 +57,6 @@ func (c ScenarioSweepConfig) withDefaults() ScenarioSweepConfig {
 	if c.Latency == nil {
 		c.Latency = sim.UniformLatency{Min: 1, Max: 20}
 	}
-	if c.DeliveryWorkers <= 0 {
-		// Honor the cmd-level -delivery-workers flag for pool width, but
-		// never drop below the batch-commit scheduler's 1-worker floor.
-		c.DeliveryWorkers = resolveDeliveryWorkers(c.DeliveryWorkers)
-		if c.DeliveryWorkers < 1 {
-			c.DeliveryWorkers = 1
-		}
-	}
 	return c
 }
 
@@ -83,17 +68,16 @@ func ScenarioRiderConfig(def scenario.Definition, base ScenarioSweepConfig, seed
 	n := base.Trust.N()
 	sc := def.Build(n, seed)
 	return RiderConfig{
-		Kind:            Asymmetric,
-		Trust:           base.Trust,
-		NumWaves:        base.NumWaves,
-		TxPerBlock:      base.TxPerBlock,
-		Seed:            seed,
-		CoinSeed:        seed*31 + 7,
-		Latency:         base.Latency,
-		Fault:           sc.FaultPlane(),
-		Wrap:            sc.WrapNode,
-		MaxEvents:       base.MaxEvents,
-		DeliveryWorkers: base.DeliveryWorkers,
+		Kind:       Asymmetric,
+		Trust:      base.Trust,
+		NumWaves:   base.NumWaves,
+		TxPerBlock: base.TxPerBlock,
+		Seed:       seed,
+		CoinSeed:   seed*31 + 7,
+		Latency:    base.Latency,
+		Fault:      sc.FaultPlane(),
+		Wrap:       sc.WrapNode,
+		MaxEvents:  base.MaxEvents,
 	}
 }
 

@@ -22,12 +22,8 @@ type ServiceSnapshot = service.Snapshot
 // ServiceLatency summarizes commit latency in virtual-time units.
 type ServiceLatency = service.LatencySummary
 
-// RunService executes one service cluster until its stop condition,
-// applying the harness-wide DeliveryWorkers default exactly like RunRider.
-func RunService(cfg ServiceConfig) ServiceResult {
-	cfg.DeliveryWorkers = resolveDeliveryWorkers(cfg.DeliveryWorkers)
-	return service.Run(cfg)
-}
+// RunService executes one service cluster until its stop condition.
+func RunService(cfg ServiceConfig) ServiceResult { return service.Run(cfg) }
 
 // ServiceStats aggregates a run's sustained-throughput and commit-latency
 // numbers across replicas — the quantities BenchmarkServiceSustained

@@ -267,10 +267,6 @@ type ABBAConfig struct {
 	// MaxEvents bounds the simulation (0 = the generous DefaultMaxEvents,
 	// < 0 = unbounded); ABBAResult.HitLimit reports a truncated run.
 	MaxEvents int
-	// DeliveryWorkers opts the run into the simulator's parallel
-	// same-time delivery (0 = the package-level DefaultDeliveryWorkers,
-	// < 0 = force serial).
-	DeliveryWorkers int
 }
 
 // ABBAResult is the outcome of one binary-agreement cluster execution.
@@ -338,7 +334,6 @@ func RunABBA(cfg ABBAConfig) ABBAResult {
 	limit := sim.ResolveEventBudget(cfg.MaxEvents)
 	r := sim.NewRunner(sim.Config{
 		N: n, Seed: cfg.Seed, Latency: cfg.Latency, Fault: cfg.Fault,
-		DeliveryWorkers: resolveDeliveryWorkers(cfg.DeliveryWorkers),
 	}, nodes)
 	r.Run(limit)
 

@@ -4,15 +4,15 @@
 // build environment vendors no external modules), a lightweight
 // interprocedural dataflow layer, and six analyzers that turn the
 // repository's dynamic determinism, wire-codec, adversarial-input,
-// parallel-delivery, and bounded-memory contracts into compile-time
+// message-confinement, and bounded-memory contracts into compile-time
 // checks. The cmd/asymvet multichecker runs them tree-wide; `make lint`
 // (folded into `make test`) gates every branch on a clean pass.
 //
 // # Static contracts
 //
 // The repository's core guarantee is dynamic twice over: reproduction
-// runs are byte-identical across seeds and DeliveryWorkers counts, and
-// simulated byte metrics equal real wire bytes. Differential tests
+// runs are a pure function of their seeds, and simulated byte metrics
+// equal real wire bytes. Differential tests
 // enforce both, but only along the executions a seed happens to reach.
 // The analyzers here enforce the underlying source-level contracts on
 // every line, in every branch:
@@ -85,13 +85,15 @@
 // its effect propagates to callers through the summaries below), as
 // does min() with any clean argument; map indexing is always safe.
 //
-// asymshare — under the simulator's parallel same-time delivery
-// (DeliveryWorkers > 1), every receiver of a broadcast is handed the
-// SAME message value, and handlers for different processes run
-// concurrently. Any state reachable from a protocol Receive handler
-// must therefore be per-process-confined (receiver fields, fresh local
-// memory), synchronized (sync/atomic), or flow through the buffering
-// Env commit path (Send/Broadcast copy on encode). The analyzer roots
+// asymshare — the simulator's broadcast hands every receiver the SAME
+// message value, and the receivers' handlers run one after another, so
+// a write through message memory leaks to every later receiver. Any
+// state a protocol Receive handler writes must therefore be
+// per-process-confined (receiver fields, fresh local memory); passing a
+// value on through Env.Send/Broadcast is not a write. Package-level
+// variables are shared by every process of a run and by the concurrent
+// runs of a sim.Sweep, so they must not be written at all (sync/atomic
+// calls are outside the analyzed program and pass). The analyzer roots
 // at every `Receive(env sim.Env, from, msg)` method in the
 // deterministic packages, follows the static call graph, and flags
 // writes through message-reachable memory (the gather.Pairs
@@ -192,18 +194,7 @@
 // message types and deliberately adversarial iteration live there); the
 // contracts gate shipped code.
 //
-// asymvet also supports -json (machine-readable findings), -baseline
+// asymvet also supports -json (machine-readable findings) and -baseline
 // (suppress a recorded finding set — adopt the analyzers on a dirty
-// tree without annotating everything first), and -cache. The cache
-// (cache.go) stores, per package, a content hash over its sources and
-// transitive in-module dependency cone, its cross-package facts (flow
-// summaries, wire registrations, unwired types, prune sites, Receive
-// roots), and its diagnostics, plus a digest of the whole program's
-// fact pool. A package replays its cached diagnostics without being
-// re-parsed when its own hash AND the global fact digest match; a
-// package whose facts are valid but whose surroundings changed is
-// re-analyzed from source with the unchanged rest of the program
-// injected as external facts. `make lint` keeps the cache in
-// .asymvet-cache.json (untracked); correctness falls back to a full
-// run on any mismatch or corruption.
+// tree without annotating everything first).
 package lint

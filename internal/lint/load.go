@@ -33,7 +33,7 @@ type listPkg struct {
 }
 
 // isModulePkg reports whether p is an analyzable in-module package (the
-// set Load type-checks from source and the cache keys).
+// set Load type-checks from source).
 func isModulePkg(p listPkg) bool {
 	return !p.Standard && p.Module != nil && len(p.CgoFiles) == 0
 }
@@ -129,15 +129,6 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return loadFromList(pkgs, nil)
-}
-
-// loadFromList type-checks the module packages of a go list result from
-// source. When only is non-nil, packages outside it are skipped — the
-// cache path (cache.go) loads just the stale packages and carries the
-// rest as ExternalFacts; skipped packages are still visible to the
-// loaded ones through their export data.
-func loadFromList(pkgs []listPkg, only map[string]bool) (*Program, error) {
 	exports := map[string]string{}
 	for _, p := range pkgs {
 		if p.Export != "" {
@@ -154,9 +145,6 @@ func loadFromList(pkgs []listPkg, only map[string]bool) (*Program, error) {
 		}
 		if p.Error != nil {
 			return nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if only != nil && !only[p.ImportPath] {
-			continue
 		}
 		files := make([]string, len(p.GoFiles))
 		for i, f := range p.GoFiles {

@@ -6,19 +6,19 @@ import (
 	"go/types"
 )
 
-// ShareAnalyzer enforces the parallel-delivery confinement contract:
-// during same-time parallel delivery (sim.DeliveryWorkers > 1) the
-// Receive handlers of distinct processes run concurrently, and a
-// broadcast hands every one of them the SAME message value. State a
-// handler touches must therefore be per-process (its receiver), reached
-// through the buffering Env (whose commit path is serialized), or
-// synchronized via sync/atomic. The analyzer flags, in any function
-// reachable from a protocol Receive handler, (a) writes through memory
-// reachable from the message parameter — the gather.Pairs
-// shared-backing bug class — and (b) writes to package-level variables.
-// Method calls on sync/atomic types pass automatically: the std library
-// is outside the program, so no mutation fact exists for them.
-// See doc.go.
+// ShareAnalyzer enforces the message-confinement contract: the
+// simulator's broadcast hands every receiver the SAME message value, one
+// receiver after another, so a handler that writes through it changes
+// the message every later receiver sees. Package-level variables are
+// shared the same way by every process of a run, and by the runs a
+// sim.Sweep executes concurrently. State a handler writes must therefore
+// be per-process (its receiver) or fresh local memory. The analyzer
+// flags, in any function reachable from a protocol Receive handler, (a)
+// writes through memory reachable from the message parameter — the
+// gather.Pairs shared-backing bug class — and (b) writes to
+// package-level variables. Method calls on sync/atomic types pass
+// automatically: the std library is outside the program, so no mutation
+// fact exists for them. See doc.go.
 var ShareAnalyzer = &Analyzer{
 	Name: "asymshare",
 	Doc:  "flags writes to message-shared or package-global state reachable from protocol Receive handlers",
@@ -62,9 +62,6 @@ func runShare(pass *Pass) {
 // sim.Env (the sim.Node surface the scheduler fans out over).
 func receiveRoots(prog *Program) []string {
 	var roots []string
-	if prog.external != nil {
-		roots = append(roots, prog.external.Roots...)
-	}
 	for _, pkg := range prog.Packages {
 		roots = append(roots, packageReceiveRoots(pkg)...)
 	}
@@ -186,7 +183,7 @@ func (aw *aliasWalker) mutate(pos token.Pos, v aliasVal, how string) {
 		return
 	}
 	aw.pass.Reportf(pos,
-		"%s memory reachable from the delivered message: under parallel delivery every receiver of a broadcast shares this value, so the write races; copy before mutating, use sync/atomic, or annotate //lint:confined <why this memory is not shared>", how)
+		"%s memory reachable from the delivered message: every receiver of a broadcast shares this value, so the write leaks to the receivers after this one; copy before mutating, or annotate //lint:confined <why this memory is not shared>", how)
 }
 
 // globalWrite reports a write to a package-level variable on a
@@ -209,7 +206,7 @@ func (aw *aliasWalker) globalWrite(pos token.Pos, obj types.Object) {
 		return
 	}
 	aw.pass.Reportf(pos,
-		"write to package-level variable %s on a path reachable from a Receive handler: concurrent deliveries race on it; confine the state to the node, use sync/atomic, or annotate //lint:confined <why>", obj.Name())
+		"write to package-level variable %s on a path reachable from a Receive handler: every process of a run, and every run of a concurrent sweep, shares it; confine the state to the node, use sync/atomic, or annotate //lint:confined <why>", obj.Name())
 }
 
 // evalAlias computes the alias set of an expression's value.

@@ -1,7 +1,7 @@
-// Package share is the asymshare analyzer's fixture: under parallel
-// same-time delivery, every receiver of a broadcast is handed the SAME
-// message value, so Receive-reachable code must not write through
-// message memory or package-level variables. Negative cases pin the
+// Package share is the asymshare analyzer's fixture: every receiver of
+// a broadcast is handed the SAME message value, so Receive-reachable
+// code must not write through message memory or package-level
+// variables. Negative cases pin the
 // confinement recognizers (receiver state, copy-before-mutate, atomics)
 // against over-reporting.
 package share
@@ -35,8 +35,8 @@ type node struct {
 
 func (n *node) Init(env sim.Env) { n.seen = map[types.ProcessID]bool{} }
 
-// Receive is the analysis root: the scheduler fans these out in
-// parallel across receivers at the same virtual time.
+// Receive is the analysis root: a broadcast delivers the same message
+// to every receiver's handler in turn.
 func (n *node) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 	m, ok := msg.(*payload)
 	if !ok {
@@ -64,13 +64,13 @@ func (n *node) Receive(env sim.Env, from types.ProcessID, msg sim.Message) {
 	cp := append([]byte(nil), m.Data...)
 	cp[0] = 9         // copy-before-mutate: clean
 	atomicHits.Add(1) // sync/atomic: clean
-	env.Send(from, m) // the Env commit path: clean
+	env.Send(from, m) // forwarding through the Env: clean
 
 	local := payload{Data: []byte{1}}
 	local.Data[0] = 3 // fresh local memory: clean
 
 	// --- suppression ---
-	//lint:confined this instance is only ever run with DeliveryWorkers=1
+	//lint:confined this instance is never a broadcast receiver
 	m.Count = 0
 }
 

@@ -13,10 +13,8 @@ import (
 // traffic through a hooked Env, so the adversarial behaviour lives entirely
 // at the network boundary: the inner node's state machine is untouched and
 // its results remain observable through sim.Unwrap. The wrappers hold only
-// per-node state and never call Env.Rand — in parallel-delivery mode the
-// hooked Env may be a buffering parEnv executing concurrently with other
-// receivers, and both restrictions are what keep that sound (see the
-// package comment's determinism contract).
+// per-node state and make every choice from deterministic counters (see
+// the package comment's determinism contract).
 
 // sendHook is the interception point a wrapper implements: it receives the
 // inner node's Send/Broadcast calls together with the real Env to forward
@@ -104,8 +102,8 @@ func (s *SelectiveNode) Unwrap() sim.Node { return s.Inner }
 // every Every-th broadcast of the inner node is followed by a replay of
 // the oldest recorded broadcast — a genuine message reinjected long after
 // its time. The cadence is a deterministic counter, never randomness, so
-// the wrapper is safe inside concurrent Receive execution. Handlers must
-// treat the replays as the duplicate deliveries they are.
+// the replay schedule is reproducible. Handlers must treat the replays as
+// the duplicate deliveries they are.
 type StaleReplayNode struct {
 	Inner sim.Node
 	// Every triggers a replay after each Every-th broadcast (values < 1

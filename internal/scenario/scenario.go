@@ -28,17 +28,16 @@
 //
 // # Determinism contract
 //
-// Scenarios must stay byte-identical across DeliveryWorkers counts.
-// Everything here obeys the two rules that guarantee it:
+// A scenario run is a pure function of the seed. Everything here obeys
+// the two rules that guarantee it:
 //
 //   - All randomized link decisions draw from the run RNG handed to the
-//     sim.FaultPlane hooks, which the simulator invokes only at its
-//     single-threaded commit points (send-commit and queue-pop) — never
-//     from inside a concurrently executing Receive handler.
-//   - Node wrappers keep all state strictly per-node (only the worker
-//     that owns the receiver touches it), never call Env.Rand, and make
-//     any randomized-looking choice (stale-replay cadence, equivocation
-//     grouping) from deterministic counters or the scenario seed.
+//     sim.FaultPlane hooks, which the simulator invokes at its two
+//     commit points (send-commit and queue-pop).
+//   - Node wrappers keep all state strictly per-node and make any
+//     randomized-looking choice (stale-replay cadence, equivocation
+//     grouping) from deterministic counters or the scenario seed — never
+//     from the wall clock or a private unseeded source.
 //
 // The registry of built-in scenarios lives in builtins.go; the harness
 // package sweeps scenario × seed through harness.SweepScenarios and checks

@@ -126,9 +126,6 @@ type Config struct {
 	// MaxEvents bounds the simulation (0 = sim.DefaultEventBudget,
 	// < 0 = unbounded); Result.HitLimit reports truncation.
 	MaxEvents int
-	// DeliveryWorkers opts into parallel same-time delivery (see
-	// sim.Config.DeliveryWorkers).
-	DeliveryWorkers int
 
 	// Faulty replaces processes with arbitrary behaviours; Fault and Wrap
 	// are the scenario engine's hooks (see harness.RiderConfig).
@@ -443,7 +440,6 @@ func Run(cfg Config) Result {
 	limit := sim.ResolveEventBudget(cfg.MaxEvents)
 	r := sim.NewRunner(sim.Config{
 		N: n, Seed: cfg.Seed, Latency: cfg.Latency, Fault: cfg.Fault,
-		DeliveryWorkers: cfg.DeliveryWorkers,
 	}, nodes)
 	stopped := r.RunUntil(func() bool {
 		for _, p := range stop {

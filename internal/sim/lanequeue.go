@@ -10,11 +10,8 @@ package sim
 // receiver process (a "lane"), merged through a winner tournament tree
 // over the lane heads. Push and pop then cost O(log lane-depth + log n),
 // where lane depth is the receiver's own backlog — in broadcast-heavy
-// protocols the total pending set is ~n× deeper than any one lane — and
-// the merge front exposes the frontier structure the parallel delivery
-// stage needs: the winning lane is the next receiver, and draining every
-// event at the frontier timestamp visits exactly the lanes with same-time
-// deliveries.
+// protocols the total pending set is ~n× deeper than any one lane. This
+// is the serial scheduler's hot path: Step pops one event per delivery.
 //
 // Ordering contract: (time, seq) is a total order (seq is globally unique
 // and monotone), each lane is itself (time, seq)-ordered, and the
@@ -111,15 +108,6 @@ func (q *laneQueue) winnerLane() int32 {
 		return 0
 	}
 	return q.tour[1]
-}
-
-// head returns the globally least pending event without removing it, or
-// nil when the queue is empty.
-func (q *laneQueue) head() *event {
-	if q.size == 0 {
-		return nil
-	}
-	return &q.lanes[q.winnerLane()][0]
 }
 
 // push enqueues e into its receiver's lane; the tournament is replayed

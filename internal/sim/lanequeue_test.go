@@ -179,24 +179,23 @@ func TestLaneQueueDuplicateTimestamps(t *testing.T) {
 	drainBoth(t, &lq, &ref, "duplicate timestamps")
 }
 
-// TestLaneQueueFrontierHead pins the merge-front accessor: head() always
-// names the (time, seq)-least pending event without removing it.
+// TestLaneQueueFrontierHead pins the merge front: the tournament winner's
+// lane head is always the (time, seq)-least pending event, which is what
+// pop removes.
 func TestLaneQueueFrontierHead(t *testing.T) {
 	var lq laneQueue
 	lq.init(4)
-	if lq.head() != nil {
-		t.Fatal("empty queue has a head")
-	}
+	head := func() event { return lq.lanes[lq.winnerLane()][0] }
 	lq.push(event{at: 5, seq: 1, to: 2})
 	lq.push(event{at: 3, seq: 2, to: 0})
 	lq.push(event{at: 3, seq: 3, to: 1})
-	if h := lq.head(); h.at != 3 || h.seq != 2 || h.to != 0 {
-		t.Fatalf("head = %+v, want at=3 seq=2 to=0", keyOf(*h))
+	if h := head(); h.at != 3 || h.seq != 2 || h.to != 0 {
+		t.Fatalf("head = %+v, want at=3 seq=2 to=0", keyOf(h))
 	}
 	if got := lq.pop(); got.seq != 2 {
 		t.Fatalf("pop seq = %d, want 2", got.seq)
 	}
-	if h := lq.head(); h.at != 3 || h.seq != 3 || h.to != 1 {
-		t.Fatalf("head after pop = %+v, want at=3 seq=3 to=1", keyOf(*h))
+	if h := head(); h.at != 3 || h.seq != 3 || h.to != 1 {
+		t.Fatalf("head after pop = %+v, want at=3 seq=3 to=1", keyOf(h))
 	}
 }

@@ -10,49 +10,37 @@
 // drawn from a single seeded source — so every execution is reproducible
 // from its seed.
 //
-// # Sharded event queue
+// # Scheduler
+//
+// There is exactly one scheduler: Step pops the (time, seq)-least pending
+// event and delivers it, and Run/RunUntil loop over Step. Events that
+// share a timestamp are delivered one at a time in sequence order. The
+// paper's adversary picks the delivery order, so any serial
+// linearisation of same-time events is a valid asynchronous execution;
+// delivering them concurrently would add no protocol behaviour.
 //
 // The priority queue is sharded by destination: one small (time, seq)-
 // ordered heap per receiver process ("lane"), merged through a winner
 // tournament tree over the lane heads (lanequeue.go). Push/pop cost
 // scales with the receiver's own backlog plus log n instead of the total
-// pending-event count, and the merge front exposes which receivers have
-// frontier events at the same virtual time. The pop sequence is byte-
-// identical to a single global heap over the same total order —
-// differential-tested against a retained copy of the previous 4-ary heap
-// — so serial execution is event-for-event unchanged.
-//
-// # Parallel same-time delivery
-//
-// Config.DeliveryWorkers > 0 opts a run into parallel delivery: all
-// frontier events sharing a timestamp with distinct receivers execute
-// their Receive handlers concurrently on a bounded worker pool, with
-// every effect (sends, broadcasts, metrics) buffered per receiver and
-// committed single-threaded in ascending receiver-ID order. Latency
-// draws and sequence numbers are assigned only at commit, from the run's
-// one seeded RNG, so the observable execution is a pure function of the
-// seed — byte-identical across 1, 2 or GOMAXPROCS delivery workers.
-// Nodes that call Env.Rand are kept on the single RNG stream by forcing
-// their timestamps back to serial delivery (see parallel.go for the full
-// contract). Serial mode (DeliveryWorkers == 0) remains the default.
+// pending-event count. The pop sequence is byte-identical to a single
+// global heap over the same total order — differential-tested against a
+// retained copy of the previous 4-ary heap.
 //
 // # Fault injection
 //
 // Config.Fault installs a FaultPlane: an adversarial message-fault layer
-// consulted at exactly two single-threaded commit points — OnSend when a
-// message's delivery is scheduled (after DropFilter, per destination in
-// ascending order) and OnDeliver when a delivery is popped from the
-// queue. Both hooks run on the driving goroutine with the run's one
-// seeded RNG, even under parallel delivery (buffered sends are committed
-// in receiver-ID order, redelivery is decided at the pop), so every
-// fault decision — drop, duplicate, extra delay, hold-until, redeliver —
-// is a pure function of the seed and byte-identical across
-// DeliveryWorkers counts. Node-level faults compose separately as
-// wrappers (CrashNode, MuteNode, ChurnNode, and the Byzantine wrappers
-// in internal/scenario); wrappers implementing Unwrapper keep the inner
-// protocol node observable to result collectors. internal/scenario
-// compiles declarative scenario rules into a FaultPlane and bundles them
-// with the Definition 4.1 properties each scenario must preserve.
+// consulted at exactly two points — OnSend when a message's delivery is
+// scheduled (after DropFilter, per destination in ascending order) and
+// OnDeliver when a delivery is popped from the queue. Both hooks run with
+// the run's one seeded RNG, so every fault decision — drop, duplicate,
+// extra delay, hold-until, redeliver — is a pure function of the seed.
+// Node-level faults compose separately as wrappers (CrashNode, MuteNode,
+// ChurnNode, and the Byzantine wrappers in internal/scenario); wrappers
+// implementing Unwrapper keep the inner protocol node observable to
+// result collectors. internal/scenario compiles declarative scenario
+// rules into a FaultPlane and bundles them with the Definition 4.1
+// properties each scenario must preserve.
 //
 // # Sweep determinism contract
 //
@@ -72,8 +60,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -233,14 +219,12 @@ type DropFilter func(from, to types.ProcessID, msg Message) bool
 // Fault plane. -------------------------------------------------------------
 
 // FaultPlane is the scenario hook into the simulator's two deterministic
-// commit points. Both callbacks run on the goroutine driving the run —
-// OnSend at the send-commit point (where latency draws and sequence
-// numbers are assigned; in parallel-delivery mode this is the
-// single-threaded effect commit), OnDeliver at the queue-pop point — so a
-// fault plane may use the run's seeded RNG freely and the observable
-// execution stays a pure function of the seed for every DeliveryWorkers
-// count. Implementations must be deterministic: no time, no I/O, no
-// private unseeded randomness.
+// commit points: OnSend at the send-commit point (where latency draws and
+// sequence numbers are assigned), OnDeliver at the queue-pop point. Both
+// run on the goroutine driving the run, so a fault plane may use the
+// run's seeded RNG freely and the observable execution stays a pure
+// function of the seed. Implementations must be deterministic: no time,
+// no I/O, no private unseeded randomness.
 //
 // Call order per message: DropFilter first (a filtered message never
 // reaches the plane), then OnSend once per (from, to) destination —
@@ -295,17 +279,6 @@ type Config struct {
 	// delivery at the pop point (see FaultPlane for the exact contract).
 	// The no-fault hot path pays only a nil check.
 	Fault FaultPlane
-
-	// DeliveryWorkers opts into parallel same-time delivery: when > 0,
-	// Run/RunUntil deliver all frontier events that share a virtual
-	// timestamp as one batch, executing the Receive handlers of distinct
-	// receivers concurrently on up to DeliveryWorkers goroutines, with
-	// every effect buffered and committed single-threaded in receiver-ID
-	// order (see parallel.go for the determinism contract). 0 (the
-	// default) keeps the strictly serial one-event-at-a-time scheduler.
-	// The observable execution of parallel mode is a pure function of the
-	// seed: byte-identical for 1, 2 or GOMAXPROCS workers.
-	DeliveryWorkers int
 }
 
 // Metrics accumulates network statistics for an execution.
@@ -341,14 +314,10 @@ func eventLess(a, b *event) bool {
 }
 
 // Runner owns an execution: the nodes, the sharded event queue, the
-// clock, and the metrics. All scheduler state — queue, clock, RNG,
+// clock, and the metrics. All state — node state, queue, clock, RNG,
 // metrics, sequence numbers — is touched only by the goroutine driving
-// the run; determinism follows from the seeded RNG and the (time,
-// sequence) total order on events. With Config.DeliveryWorkers > 0 the
-// Receive handlers of distinct same-timestamp receivers additionally run
-// concurrently, but their effects are buffered and committed back on the
-// driving goroutine (parallel.go), so the single-threaded-scheduler
-// invariant holds in both modes.
+// the run, one event at a time; determinism follows from the seeded RNG
+// and the (time, sequence) total order on events.
 type Runner struct {
 	cfg     Config
 	nodes   []Node
@@ -366,30 +335,6 @@ type Runner struct {
 	// Nodes must not retain an Env beyond the call (the Env contract), and
 	// each env is immutable after construction, so reuse is safe.
 	envs []env
-
-	// randUsed[p] records that node p has drawn from Env.Rand at least
-	// once. Parallel delivery consults it: a timestamp batch containing a
-	// flagged receiver is delivered serially so the node keeps reading the
-	// run's single RNG stream (see parallel.go).
-	randUsed []bool
-
-	// Parallel-delivery scratch state, allocated only when
-	// cfg.DeliveryWorkers > 0 (see parallel.go).
-	parEnvs   []parEnv
-	perRecv   [][]event
-	batch     []event
-	active    []int
-	panicVals []any
-
-	// Persistent delivery worker pool (parallel.go): started lazily at
-	// the first multi-worker batch of a Run/RunUntil invocation, stopped
-	// when it returns — batches reuse the pooled goroutines instead of
-	// spawning per batch. poolWake has one buffered channel per worker so
-	// a fast worker can never steal a second wake-up within one batch.
-	poolWake   []chan struct{}
-	poolNext   atomic.Int32
-	poolBatch  sync.WaitGroup
-	poolExited sync.WaitGroup
 
 	// typeCounts accumulates per-message-type counters keyed by dynamic
 	// type; the string-keyed Metrics.ByType view is materialized lazily by
@@ -420,20 +365,11 @@ func NewRunner(cfg Config, nodes []Node) *Runner {
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		metrics:    newMetrics(),
 		envs:       make([]env, cfg.N),
-		randUsed:   make([]bool, cfg.N),
 		typeCounts: map[reflect.Type]*typeCounter{},
 	}
 	r.queue.init(cfg.N)
 	for i := range r.envs {
 		r.envs[i] = env{r: r, self: types.ProcessID(i)}
-	}
-	if cfg.DeliveryWorkers > 0 {
-		r.parEnvs = make([]parEnv, cfg.N)
-		for i := range r.parEnvs {
-			r.parEnvs[i] = parEnv{r: r, self: types.ProcessID(i)}
-		}
-		r.perRecv = make([][]event, cfg.N)
-		r.panicVals = make([]any, cfg.N)
 	}
 	return r
 }
@@ -448,13 +384,7 @@ func (e *env) Self() types.ProcessID { return e.self }
 func (e *env) N() int                { return e.r.cfg.N }
 func (e *env) Now() VirtualTime      { return e.r.now }
 
-// Rand returns the run's single seeded RNG and flags the node as a
-// randomness user: parallel delivery (parallel.go) keeps flagged nodes'
-// timestamps serial so the stream stays single-threaded.
-func (e *env) Rand() *rand.Rand {
-	e.r.randUsed[e.self] = true
-	return e.r.rng
-}
+func (e *env) Rand() *rand.Rand { return e.r.rng }
 
 func (e *env) Send(to types.ProcessID, msg Message) {
 	e.r.send(e.self, to, msg)
@@ -614,9 +544,7 @@ func (r *Runner) init() {
 }
 
 // Step delivers the next pending event. It returns false when the queue is
-// empty (quiescence). Step is always the strictly serial path — Run and
-// RunUntil switch to timestamp batches only when Config.DeliveryWorkers
-// opts in.
+// empty (quiescence).
 func (r *Runner) Step() bool {
 	r.init()
 	if r.queue.Len() == 0 {
@@ -657,23 +585,9 @@ func ResolveEventBudget(configured int) int {
 
 // Run processes events until quiescence or until limit events have been
 // delivered (limit <= 0 means no limit). It returns the number of events
-// processed. In parallel mode (Config.DeliveryWorkers > 0) delivery
-// advances one whole timestamp batch at a time, so the run may overshoot
-// limit by at most the final batch — by the same amount for every worker
-// count.
+// processed.
 func (r *Runner) Run(limit int) int {
 	processed := 0
-	if r.cfg.DeliveryWorkers > 0 {
-		defer r.stopPool()
-		for limit <= 0 || processed < limit {
-			n := r.stepBatch()
-			if n == 0 {
-				break
-			}
-			processed += n
-		}
-		return processed
-	}
 	for limit <= 0 || processed < limit {
 		if !r.Step() {
 			break
@@ -684,29 +598,14 @@ func (r *Runner) Run(limit int) int {
 }
 
 // RunUntil processes events until pred() is true, quiescence, or the event
-// limit; it reports whether pred became true. In parallel mode pred is
-// evaluated between timestamp batches rather than between single events —
-// at the same points for every worker count.
+// limit; it reports whether pred became true. pred is evaluated after
+// every event.
 func (r *Runner) RunUntil(pred func() bool, limit int) bool {
 	r.init()
 	if pred() {
 		return true
 	}
 	processed := 0
-	if r.cfg.DeliveryWorkers > 0 {
-		defer r.stopPool()
-		for limit <= 0 || processed < limit {
-			n := r.stepBatch()
-			if n == 0 {
-				return pred()
-			}
-			processed += n
-			if pred() {
-				return true
-			}
-		}
-		return false
-	}
 	for limit <= 0 || processed < limit {
 		if !r.Step() {
 			return pred()

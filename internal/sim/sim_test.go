@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -339,3 +340,38 @@ type silentNode struct{}
 
 func (silentNode) Init(Env)                              {}
 func (silentNode) Receive(Env, types.ProcessID, Message) {}
+
+// labeledMsg routes its metrics bucket through the Typer interface.
+type labeledMsg struct{ Lane int }
+
+func (m labeledMsg) SimType() string { return fmt.Sprintf("labeled[%d]", m.Lane) }
+func (m labeledMsg) SimSize() int    { return 4 }
+
+type labelSender struct{ silentNode }
+
+func (labelSender) Init(e Env) {
+	e.Send(e.Self(), labeledMsg{Lane: int(e.Self())})
+	e.Broadcast(labeledMsg{Lane: 99})
+}
+
+// TestTyperMetricsBuckets pins the Typer contract: messages that
+// implement SimType are bucketed under their own label, not their Go
+// type.
+func TestTyperMetricsBuckets(t *testing.T) {
+	nodes := []Node{labelSender{}, labelSender{}}
+	r := NewRunner(Config{N: 2, Seed: 1}, nodes)
+	r.Run(0)
+	by := r.Metrics().ByType
+	if by["labeled[0]"] != 1 || by["labeled[1]"] != 1 {
+		t.Fatalf("per-value buckets missing: %v", by)
+	}
+	if by["labeled[99]"] != 4 {
+		t.Fatalf("broadcast bucket = %d, want 4 (%v)", by["labeled[99]"], by)
+	}
+	if _, ok := by["sim.labeledMsg"]; ok {
+		t.Fatalf("Typer message still bucketed by Go type: %v", by)
+	}
+	if r.Metrics().BytesSent != 6*4 {
+		t.Fatalf("BytesSent = %d, want 24", r.Metrics().BytesSent)
+	}
+}

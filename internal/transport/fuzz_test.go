@@ -68,11 +68,12 @@ func FuzzParseHello(f *testing.F) {
 }
 
 // FuzzDecodeBatch drives the batch-body walker with the real codec
-// registry loaded: it must never panic, every emitted message must have
-// come from a registered codec (re-marshalable), and a malformed tail
-// must surface as an error, not silent truncation.
+// registry loaded (this package's tests import every protocol package,
+// whose codecs self-register at init): it must never panic, every
+// emitted message must have come from a registered codec
+// (re-marshalable), and a malformed tail must surface as an error, not
+// silent truncation.
 func FuzzDecodeBatch(f *testing.F) {
-	RegisterAllWire()
 	seedBatch := func(msgs ...sim.Message) []byte {
 		var body []byte
 		for _, m := range msgs {

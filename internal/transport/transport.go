@@ -79,24 +79,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/broadcast"
-	"repro/internal/core"
-	"repro/internal/gather"
 	"repro/internal/sim"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
-
-// RegisterAllWire registers every protocol message type with encoding/gob.
-// The binary codec this transport actually speaks self-registers at
-// package init (internal/wire); this remains for callers that still gob-
-// encode protocol values (e.g. tooling persisting gather.Pairs). Safe to
-// call multiple times.
-func RegisterAllWire() {
-	broadcast.RegisterWire()
-	gather.RegisterWire()
-	core.RegisterWire()
-}
 
 // Wire framing. ------------------------------------------------------------
 
@@ -909,7 +895,6 @@ func NewLocalCluster(nodes []sim.Node, seed int64) (*LocalCluster, error) {
 // NewLocalClusterConfig builds and wires (but does not start) a loopback
 // mesh for the given nodes.
 func NewLocalClusterConfig(nodes []sim.Node, cfg LocalClusterConfig) (*LocalCluster, error) {
-	RegisterAllWire()
 	n := len(nodes)
 	hosts := make([]*Host, n)
 	for i, nd := range nodes {

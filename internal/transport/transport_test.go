@@ -188,7 +188,6 @@ func TestHostCloseIdempotentAndClean(t *testing.T) {
 }
 
 func TestConnectBadAddress(t *testing.T) {
-	RegisterAllWire()
 	h, err := NewHost(0, 2, gather.NewThreeRoundNode(gather.Config{
 		Trust: quorum.NewThreshold(4, 1), Input: "x",
 	}), "127.0.0.1:0", 1)
